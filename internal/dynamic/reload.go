@@ -321,8 +321,17 @@ func (r *Reloader) Tick(now time.Time) {
 		delete(r.pending, s.Name)
 	}
 
-	// Every changed source re-wrapped: publish the new graph atomically.
-	data := repo.NewIndexed(r.med.DataGraph())
+	// Every changed source re-wrapped: publish the new graph atomically,
+	// as a read-only snapshot frozen straight from the contributions —
+	// the evaluator and the fleet read only the CSR, so a merged mutable
+	// graph and map indexes would be wasted work. A graph past the
+	// snapshot's packed-id capacity falls back to the indexed repository.
+	var data struql.Source
+	if fr := r.med.DataSnapshot(); fr != nil {
+		data = repo.NewSnapshot(fr)
+	} else {
+		data = repo.NewIndexed(r.med.DataGraph())
+	}
 	delta := r.accum
 	r.accum = &mediator.Delta{}
 	if r.overflow {

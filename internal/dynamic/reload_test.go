@@ -13,6 +13,7 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
+	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 )
@@ -242,6 +243,35 @@ func TestReloaderSwapInvalidatesAffectedPages(t *testing.T) {
 	}
 	if len(pd.Out) == 0 {
 		t.Error("new-generation year page is empty")
+	}
+}
+
+// A reload publishes the merged graph as a read-only frozen snapshot:
+// nothing on the serving path queries map indexes, so none are built.
+func TestReloaderPublishesSnapshot(t *testing.T) {
+	version := 0
+	rl, _, path := newTestReloader(t, func() (*graph.Graph, error) { return pubsGraph(version, 3), nil })
+	data, err := rl.Warehouse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(schema.Build(struql.MustParse(siteQuery)), data)
+	rl.Attach(ev, NewHealth())
+	version = 1
+	touchFile(t, path, "gen1")
+	rl.Tick(time.Now())
+	src, gen := ev.SourceGen()
+	snap, ok := src.(*repo.Snapshot)
+	if !ok {
+		t.Fatalf("generation %d source is %T, want *repo.Snapshot", gen, src)
+	}
+	want := pubsGraph(1, 3)
+	if snap.NumEdges() != want.NumEdges() || snap.NumNodes() != want.NumNodes() {
+		t.Fatalf("snapshot has %d nodes / %d edges, want %d / %d",
+			snap.NumNodes(), snap.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	if got := snap.OutLabel("pub0", "year"); len(got) != 1 || got[0] != graph.NewInt(1991) {
+		t.Fatalf("pub0 year = %v, want the reloaded 1991", got)
 	}
 }
 

@@ -176,11 +176,13 @@ const keptGenTimes = 16
 
 // New builds a fleet over an initial data source. Each replica receives
 // its own copy of the data: when the source exposes a frozen snapshot
-// (repo.Indexed does), it is encoded once to the canonical SGB2 binary
-// form and decoded once per replica — the compact layout is what makes
-// O(shards × replicas) replication affordable; otherwise the source is
-// shared read-only (safe, but not shared-nothing; tests use it for
-// plain graph sources).
+// (repo.Indexed and repo.Snapshot do), it is encoded once to the
+// canonical SGB2 binary form and decoded once per replica into a
+// repo.Snapshot — the replica holds only that decoded snapshot, with no
+// thawed graph and no map indexes, which is what makes O(shards ×
+// replicas) replication affordable; otherwise the source is shared
+// read-only (safe, but not shared-nothing; tests use it for plain graph
+// sources and graphs past the snapshot's capacity).
 func New(cfg Config, src struql.Source) (*Fleet, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("fleet: config needs a schema")
@@ -233,24 +235,30 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 // replicate produces n independent copies of a data source. The frozen
 // path round-trips through SGB2 bytes, so every replica owns its own
 // arenas and adjacency — a true shared-nothing copy, byte-validated on
-// decode.
+// decode — and serves it as a repo.Snapshot: the decoded CSR is all a
+// replica holds, with no thawed graph and no map indexes. A source with
+// no snapshot (it does not offer one, or its graph is past the packed-id
+// capacity and Frozen returns nil) is shared read-only instead.
 func replicate(src struql.Source, n int) ([]struql.Source, error) {
 	out := make([]struql.Source, n)
 	type frozener interface{ Frozen() *graph.Frozen }
-	fz, ok := src.(frozener)
-	if !ok {
+	var fr *graph.Frozen
+	if fz, ok := src.(frozener); ok {
+		fr = fz.Frozen()
+	}
+	if fr == nil {
 		for i := range out {
 			out[i] = src
 		}
 		return out, nil
 	}
-	enc := repo.EncodeBinaryFrozen(fz.Frozen())
+	enc := repo.EncodeBinaryFrozen(fr)
 	for i := range out {
 		dec, err := repo.DecodeBinaryFrozen(enc)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: replicating snapshot: %w", err)
 		}
-		out[i] = repo.NewIndexedFrozen(dec)
+		out[i] = repo.NewSnapshot(dec)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -109,15 +110,30 @@ func (f *Frozen) value(r uint32) Value {
 // returns nil when the graph exceeds the packed-id capacity (2^28
 // distinct nodes, labels, or atoms per kind) — callers treat nil as
 // "no snapshot" and keep the mutable representation.
-func (g *Graph) Freeze() *Frozen {
+func (g *Graph) Freeze() *Frozen { return FreezeUnion(g) }
+
+// FreezeUnion builds the snapshot of the union of gs: exactly the
+// snapshot of the graph Merge would build from them, in order, without
+// building that graph. Nodes, collections and memberships are united,
+// and an edge present in several graphs appears once. Like Freeze, it
+// returns nil past the packed-id capacity.
+func FreezeUnion(gs ...*Graph) *Frozen {
 	f := &Frozen{}
 
-	// Nodes, sorted, and their dense ids.
-	f.nodes = make([]OID, 0, len(g.nodes))
-	for oid := range g.nodes {
-		f.nodes = append(f.nodes, oid)
+	// Nodes, sorted and deduplicated, and their dense ids.
+	nNodes, nEdges := 0, 0
+	for _, g := range gs {
+		nNodes += len(g.nodes)
+		nEdges += g.edgeCount
+	}
+	f.nodes = make([]OID, 0, nNodes)
+	for _, g := range gs {
+		for oid := range g.nodes {
+			f.nodes = append(f.nodes, oid)
+		}
 	}
 	sort.Slice(f.nodes, func(i, j int) bool { return f.nodes[i] < f.nodes[j] })
+	f.nodes = slices.Compact(f.nodes)
 	if len(f.nodes) > int(vrefMask) {
 		return nil
 	}
@@ -133,20 +149,22 @@ func (g *Graph) Freeze() *Frozen {
 	intSet := map[int64]struct{}{}
 	floatSet := map[float64]struct{}{}
 	fileSet := map[fileRef]struct{}{}
-	for _, rec := range g.nodes {
-		for _, e := range g.recs[rec].out {
-			labelDict.Intern(e.Label)
-			switch e.To.kind {
-			case KindString:
-				strSet[e.To.str] = struct{}{}
-			case KindURL:
-				urlSet[e.To.str] = struct{}{}
-			case KindInt:
-				intSet[e.To.i64] = struct{}{}
-			case KindFloat:
-				floatSet[e.To.f64] = struct{}{}
-			case KindFile:
-				fileSet[fileRef{ft: e.To.ft, path: e.To.str}] = struct{}{}
+	for _, g := range gs {
+		for _, rec := range g.nodes {
+			for _, e := range g.recs[rec].out {
+				labelDict.Intern(e.Label)
+				switch e.To.kind {
+				case KindString:
+					strSet[e.To.str] = struct{}{}
+				case KindURL:
+					urlSet[e.To.str] = struct{}{}
+				case KindInt:
+					intSet[e.To.i64] = struct{}{}
+				case KindFloat:
+					floatSet[e.To.f64] = struct{}{}
+				case KindFile:
+					fileSet[fileRef{ft: e.To.ft, path: e.To.str}] = struct{}{}
+				}
 			}
 		}
 	}
@@ -220,15 +238,37 @@ func (g *Graph) Freeze() *Frozen {
 
 	// Out CSR: per node, edges sorted by (label, target key) — exactly
 	// the mutable Out() order.
-	nEdges := g.edgeCount
 	f.outOff = make([]uint32, len(f.nodes)+1)
 	f.outLbl = make([]uint32, 0, nEdges)
 	f.outTo = make([]uint32, 0, nEdges)
 	var scratch []Edge
+	var seen map[Edge]struct{}
 	for i, oid := range f.nodes {
 		f.outOff[i] = uint32(len(f.outLbl))
-		rec := &g.recs[g.nodes[oid]]
-		scratch = append(scratch[:0], rec.out...)
+		scratch = scratch[:0]
+		shared := false
+		for _, g := range gs {
+			if ri, ok := g.nodes[oid]; ok && len(g.recs[ri].out) > 0 {
+				shared = shared || len(scratch) > 0
+				scratch = append(scratch, g.recs[ri].out...)
+			}
+		}
+		if shared {
+			// Out-edges from several graphs: keep each edge once, the
+			// first occurrence, as Merge's edge set does.
+			if seen == nil {
+				seen = make(map[Edge]struct{})
+			}
+			clear(seen)
+			kept := scratch[:0]
+			for _, e := range scratch {
+				if _, dup := seen[e]; !dup {
+					seen[e] = struct{}{}
+					kept = append(kept, e)
+				}
+			}
+			scratch = kept
+		}
 		sort.Slice(scratch, func(a, b int) bool {
 			if scratch[a].Label != scratch[b].Label {
 				return scratch[a].Label < scratch[b].Label
@@ -244,25 +284,28 @@ func (g *Graph) Freeze() *Frozen {
 
 	f.buildDerived()
 
-	// Collections as sorted node-id slices.
-	f.collNames = make([]string, 0, len(g.collections))
-	for name := range g.collections {
-		f.collNames = append(f.collNames, name)
+	// Collections as sorted, deduplicated node-id slices.
+	for _, g := range gs {
+		for name := range g.collections {
+			f.collNames = append(f.collNames, name)
+		}
 	}
 	sort.Strings(f.collNames)
+	f.collNames = slices.Compact(f.collNames)
 	f.collOf = make(map[string]uint32, len(f.collNames))
 	f.collMembers = make([][]uint32, len(f.collNames))
 	for i, name := range f.collNames {
 		f.collOf[name] = uint32(i)
-		members := g.collections[name]
-		ids := make([]uint32, 0, len(members))
-		for _, m := range members {
-			if nid, ok := f.nodeOf[m]; ok {
-				ids = append(ids, nid)
+		var ids []uint32
+		for _, g := range gs {
+			for _, m := range g.collections[name] {
+				if nid, ok := f.nodeOf[m]; ok {
+					ids = append(ids, nid)
+				}
 			}
 		}
 		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		f.collMembers[i] = ids
+		f.collMembers[i] = slices.Compact(ids)
 	}
 	return f
 }

@@ -320,3 +320,56 @@ func TestAddEdgesAndCapacity(t *testing.T) {
 		t.Fatal("edges missing after AddEdges")
 	}
 }
+
+// FreezeUnion must produce byte for byte the snapshot of the graph
+// Merge builds from the same graphs, however their nodes, edges and
+// memberships overlap.
+func TestFreezeUnionMatchesMerge(t *testing.T) {
+	for seed := 0; seed < 50; seed++ {
+		rng := uint64(seed)*2654435761 + 1
+		next := func(k int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int((rng >> 33) % uint64(k))
+		}
+		parts := make([]*Graph, 1+next(4))
+		for i := range parts {
+			parts[i] = New()
+		}
+		for i := 0; i < 40; i++ {
+			p := parts[next(len(parts))]
+			from := OID(fmt.Sprintf("n%d", next(12)))
+			label := []string{"a", "b", "c"}[next(3)]
+			var to Value
+			switch next(4) {
+			case 0:
+				to = NewNode(OID(fmt.Sprintf("n%d", next(12))))
+			case 1:
+				to = NewString(fmt.Sprintf("s%d", next(5)))
+			case 2:
+				to = NewInt(int64(next(5)))
+			default:
+				to = NewFloat(float64(next(5)) / 2)
+			}
+			p.AddEdge(from, label, to)
+			// The same edge again, in another graph.
+			if next(3) == 0 {
+				parts[next(len(parts))].AddEdge(from, label, to)
+			}
+			if next(4) == 0 {
+				parts[next(len(parts))].AddToCollection([]string{"C", "D"}[next(2)], from)
+			}
+		}
+		parts[next(len(parts))].AddNode("island")
+		parts[next(len(parts))].DeclareCollection("Empty")
+
+		merged := New()
+		for _, p := range parts {
+			merged.Merge(p)
+		}
+		got := AppendFrozen(nil, FreezeUnion(parts...))
+		want := AppendFrozen(nil, merged.Freeze())
+		if string(got) != string(want) {
+			t.Fatalf("seed %d: FreezeUnion of %d graphs differs from freezing their merge", seed, len(parts))
+		}
+	}
+}

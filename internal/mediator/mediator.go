@@ -221,14 +221,25 @@ func (m *Mediator) WarehouseLenient(budget diag.Budget) (*repo.Indexed, []Source
 
 // DataGraph returns the merged graph of the current contributions
 // without reloading sources; Warehouse must have run.
-func (m *Mediator) DataGraph() *graph.Graph {
+func (m *Mediator) DataGraph() *graph.Graph { return mergeContributions(m.currentContributions()) }
+
+// DataSnapshot returns the frozen snapshot of DataGraph's graph, frozen
+// straight from the contributions without building the merged graph.
+// It returns nil past the snapshot's packed-id capacity; Warehouse must
+// have run.
+func (m *Mediator) DataSnapshot() *graph.Frozen {
+	return graph.FreezeUnion(m.currentContributions()...)
+}
+
+// currentContributions lists the loaded contributions in source order.
+func (m *Mediator) currentContributions() []*graph.Graph {
 	contribs := make([]*graph.Graph, 0, len(m.sources))
 	for _, s := range m.sources {
 		if c, ok := m.contributions[s.Name]; ok {
 			contribs = append(contribs, c)
 		}
 	}
-	return mergeContributions(contribs)
+	return contribs
 }
 
 // Delta describes the difference between two versions of a graph.

@@ -208,3 +208,39 @@ func TestOverlappingSourcesUnifyByOID(t *testing.T) {
 		t.Errorf("attributes not unified:\n%s", g.Dump())
 	}
 }
+
+// DataSnapshot freezes the contributions without merging them; it must
+// equal the snapshot of the merged DataGraph byte for byte, before and
+// after a refresh, with sources sharing nodes, edges and memberships.
+func TestDataSnapshotMatchesDataGraph(t *testing.T) {
+	a := &mutableSource{g: peopleGraph()}
+	b := &mutableSource{g: func() *graph.Graph {
+		g := pubsGraph()
+		g.AddToCollection("People", "People/mff")
+		g.AddEdge("People/mff", "name", graph.NewString("Mary"))
+		g.AddEdge("People/mff", "project", graph.NewString("Strudel"))
+		return g
+	}()}
+	m, err := New(Source{Name: "a", Load: a.load}, Source{Name: "b", Load: b.load})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Warehouse(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		got := graph.AppendFrozen(nil, m.DataSnapshot())
+		want := graph.AppendFrozen(nil, m.DataGraph().Freeze())
+		if string(got) != string(want) {
+			t.Fatalf("%s: DataSnapshot differs from freezing DataGraph", when)
+		}
+	}
+	check("after Warehouse")
+	b.g.AddEdge("People/mff", "internalPhone", graph.NewString("x1234"))
+	b.g.AddToCollection("Publications", "pub2")
+	if _, err := m.Refresh("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("after Refresh")
+}

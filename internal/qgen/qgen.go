@@ -20,6 +20,13 @@ import (
 	"strudel/internal/graph"
 )
 
+// Size bounds of Graph.
+const (
+	GraphMinItems   = 6
+	GraphMaxItems   = 25
+	MaxEdgesPerItem = 9 // id, year, kind, two tags, next, ref, score, extra
+)
+
 // Rand is a small deterministic generator (64-bit LCG, high bits).
 type Rand struct{ s uint64 }
 
@@ -41,10 +48,16 @@ func (r *Rand) Pick(ss ...string) string { return ss[r.N(len(ss))] }
 // label selectivities — "id" is unique per node, "tag" is dense, "next"
 // is a near-chain, "ref" is sparse and cross-cutting — so a cost-based
 // planner's choices actually differ from textual order.
+//
+// Bounds: GraphMinItems..GraphMaxItems members of collection "Items"
+// (a subset of them also in "Extra"), plus one node outside every
+// collection; each member has an "id" and a "year" edge and at most
+// MaxEdgesPerItem edges in all, and one more "ref" edge reaches the
+// outside node.
 func Graph(seed uint64) *graph.Graph {
 	r := NewRand(seed)
 	g := graph.New()
-	n := 6 + r.N(20)
+	n := GraphMinItems + r.N(GraphMaxItems-GraphMinItems+1)
 	oid := func(i int) graph.OID { return graph.OID(fmt.Sprintf("n%02d", i)) }
 	for i := 0; i < n; i++ {
 		g.AddToCollection("Items", oid(i))
@@ -166,10 +179,11 @@ func conds(r *Rand) (cs, bound, arcVars []string) {
 	return cs, bound, arcVars
 }
 
-// WhereClause generates a standalone random where clause over the
-// Graph vocabulary — the binding-relation half of RichQuery, with no
-// construction clauses. It is the corpus the HTTP query oracle fires
-// at /query, where the endpoint evaluates exactly a condition list.
+// WhereClause generates a standalone random where clause of 2 to 6
+// conditions over the Graph vocabulary — the binding-relation half of
+// RichQuery, with no construction clauses. It is the corpus the HTTP
+// query oracle fires at /query, where the endpoint evaluates exactly a
+// condition list.
 func WhereClause(seed uint64) string {
 	r := NewRand(seed)
 	cs, _, _ := conds(r)

@@ -172,9 +172,10 @@ func EvalWhereCtx(reqCtx context.Context, conds []Cond, src Source, seed *Bindin
 }
 
 // frozenSource is implemented by sources that can supply a compact
-// read-optimized snapshot of their current state (repo.Indexed). The
-// snapshot, when present, replaces the slice-returning Source accessors
-// with zero-copy CSR iteration on the evaluator's hot paths.
+// read-optimized snapshot of their current state (repo.Indexed,
+// repo.Snapshot). The snapshot, when present, replaces the
+// slice-returning Source accessors with zero-copy CSR iteration on the
+// evaluator's hot paths.
 type frozenSource interface{ Frozen() *graph.Frozen }
 
 type evalCtx struct {

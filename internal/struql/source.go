@@ -24,9 +24,11 @@ import (
 	"strudel/internal/graph"
 )
 
-// Source is the evaluator's view of a graph. Two implementations matter:
-// GraphSource (naive scans over a plain graph — the unoptimized baseline)
-// and repo.Indexed (the repository's fully-indexed access paths, §2.1).
+// Source is the evaluator's view of a graph. Three implementations
+// matter: GraphSource (naive scans over a plain graph — the unoptimized
+// baseline), repo.Indexed (the repository's fully-indexed access paths,
+// §2.1), and repo.Snapshot (the same answers from a frozen snapshot
+// alone, for read-only serving).
 // The optimizer consults the statistics methods to order conditions.
 type Source interface {
 	// Collection returns the members of the named collection, sorted.
