@@ -140,65 +140,20 @@ func main() {
 }
 
 func run(cfg config) int {
-	srv, rl, err := buildServer(cfg.dataFiles, cfg.bibFiles, cfg.templates, cfg.queryFile, cfg.lookahead)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "strudel-serve:", err)
-		return exitError
-	}
-
 	// Metrics are always collected (they are cheap atomics); the debug
 	// listener just decides whether anything can read them.
 	metrics := &obs.ServeMetrics{}
 	ivmMetrics := &obs.IVMMetrics{}
 	fleetMetrics := &obs.FleetMetrics{}
 	queryMetrics := &obs.QueryMetrics{}
-	if rl != nil {
-		rl.Obs = metrics
-		rl.IVM = ivmMetrics
-	}
-
-	// The serving tier proper: the page space is partitioned over
-	// -shards shared-nothing shards of -replicas replicas each (1×1 is a
-	// perfectly good fleet), and every request enters through the edge —
-	// consistent-hash routing, generation-scoped conditional GETs,
-	// stale-while-revalidate across hot reloads.
-	fl, err := fleet.New(fleet.Config{
-		Schema:    srv.Ev.Schema,
-		Templates: srv.Templates,
-		PerFn:     srv.PerFn,
-		Default:   srv.Default,
-		Shards:    cfg.shards,
-		Replicas:  cfg.replicas,
-		Lookahead: cfg.lookahead,
-		Obs:       fleetMetrics,
-		ServeObs:  metrics,
-		Gray: fleet.GrayConfig{
-			Breaker: fleet.BreakerConfig{
-				Failures: cfg.breakerFailures,
-				OpenFor:  cfg.breakerOpenFor,
-			},
-			HedgeMinDelay:  cfg.hedgeMinDelay,
-			HedgeMaxDelay:  cfg.hedgeMaxDelay,
-			HedgeRatio:     cfg.hedgeRatio,
-			DisableHedge:   !cfg.hedge,
-			RetryRatio:     cfg.retryRatio,
-			AttemptTimeout: cfg.attemptTimeout,
-			ProbeInterval:  cfg.probeInterval,
-		},
-	}, srv.Ev.Source())
+	fl, edge, rl, err := buildServer(cfg, fleetMetrics, metrics)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "strudel-serve:", err)
 		return exitError
 	}
-	edge := fleet.NewEdge(fl)
-	edge.StaleFor = cfg.staleFor
-	edge.RequestTimeout = cfg.requestTimeout
-	edge.MaxInflight = cfg.maxInflight
-	edge.Obs = fleetMetrics
-	edge.Health = srv.Health
 	if rl != nil {
-		// Hot reloads now swap every replica of every shard in lockstep.
-		rl.AttachSwapper(fl, srv.Health)
+		rl.Obs = metrics
+		rl.IVM = ivmMetrics
 	}
 
 	// Bind before installing signal handling so "address in use" and its
@@ -247,33 +202,7 @@ func run(cfg config) int {
 		go rl.Run(ctx)
 	}
 
-	// The production mux: the query API owns /query, /query/explain, and
-	// /schema/*; the page edge serves everything else. Both route through
-	// the same fleet, so queries and pages share generation snapshots,
-	// replica health, and hot reloads.
-	handler := edge.Handler()
-	if cfg.queryAPI {
-		qsvc := &queryapi.Service{
-			Backend: fl,
-			Limits: queryapi.Limits{
-				MaxRows:         cfg.queryMaxRows,
-				MaxNFAStates:    cfg.queryMaxNFAStates,
-				Timeout:         cfg.queryTimeout,
-				DefaultPageSize: cfg.queryPageSize,
-				MaxPageSize:     cfg.queryMaxPageSize,
-			},
-			Obs:         queryMetrics,
-			MaxInflight: cfg.queryMaxInflight,
-		}
-		qh := qsvc.Handler()
-		root := http.NewServeMux()
-		root.Handle("/query", qh)
-		root.Handle("/query/", qh)
-		root.Handle("/schema/", qh)
-		root.Handle("/", handler)
-		handler = root
-	}
-
+	handler := frontDoor(cfg, fl, edge, queryMetrics)
 	hs := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -295,7 +224,7 @@ func run(cfg config) int {
 		shutdownDone <- hs.Shutdown(shCtx)
 	}()
 
-	roots := srv.Ev.EntryPoints()
+	roots := fl.EntryPoints()
 	fmt.Printf("serving %d entry point(s) on %s via %d shard(s) x %d replica(s) (start at /, health at /healthz)\n",
 		len(roots), cfg.addr, fl.Shards(), fl.ReplicasPerShard())
 	err = hs.Serve(ln)
@@ -333,24 +262,74 @@ func debugMux(metrics *obs.ServeMetrics, ivmMetrics *obs.IVMMetrics, fleetMetric
 	return mux
 }
 
-// buildServer assembles the dynamic server and its hot reloader from the
-// CLI inputs. Every -data and -bibtex file becomes a watched source: the
-// reloader polls its mtime and re-wraps it on change.
-func buildServer(dataFiles, bibFiles, templates []string, queryFile string, lookahead bool) (*dynamic.Server, *dynamic.Reloader, error) {
-	if queryFile == "" {
-		return nil, nil, fmt.Errorf("provide -query FILE")
+// frontDoor is the production mux: the query API owns /query,
+// /query/explain, and /schema/*; the page edge serves everything else.
+// Both route through the same fleet, so queries and pages share
+// generation snapshots, replica health, and hot reloads.
+func frontDoor(cfg config, fl *fleet.Fleet, edge *fleet.Edge, queryMetrics *obs.QueryMetrics) http.Handler {
+	if !cfg.queryAPI {
+		return edge.Handler()
 	}
-	qb, err := os.ReadFile(queryFile)
+	qsvc := &queryapi.Service{
+		Backend: fl,
+		Limits: queryapi.Limits{
+			MaxRows:         cfg.queryMaxRows,
+			MaxNFAStates:    cfg.queryMaxNFAStates,
+			Timeout:         cfg.queryTimeout,
+			DefaultPageSize: cfg.queryPageSize,
+			MaxPageSize:     cfg.queryMaxPageSize,
+		},
+		Obs:         queryMetrics,
+		MaxInflight: cfg.queryMaxInflight,
+	}
+	qh := qsvc.Handler()
+	root := http.NewServeMux()
+	root.Handle("/query", qh)
+	root.Handle("/query/", qh)
+	root.Handle("/schema/", qh)
+	root.Handle("/", edge.Handler())
+	return root
+}
+
+// buildServer assembles the serving tier from the CLI inputs: the page
+// space is partitioned over -shards shared-nothing shards of -replicas
+// replicas each (1×1 is a perfectly good fleet), and every request
+// enters through the edge — consistent-hash routing, generation-scoped
+// conditional GETs, stale-while-revalidate across hot reloads. Every
+// -data and -bibtex file becomes a watched source of the hot reloader,
+// which polls its mtime and re-wraps it on change; the reloader is nil
+// when there is nothing to watch.
+func buildServer(cfg config, fleetMetrics *obs.FleetMetrics, metrics *obs.ServeMetrics) (*fleet.Fleet, *fleet.Edge, *dynamic.Reloader, error) {
+	if cfg.queryFile == "" {
+		return nil, nil, nil, fmt.Errorf("provide -query FILE")
+	}
+	qb, err := os.ReadFile(cfg.queryFile)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	q, err := struql.Parse(string(qb))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	ts := template.NewSet()
+	perFn := map[string]string{}
+	for _, spec := range cfg.templates {
+		fn, file, ok := strings.Cut(spec, "=")
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("-template wants SkolemFn=file, got %q", spec)
+		}
+		b, err := os.ReadFile(file)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if err := ts.Add(fn, string(b)); err != nil {
+			return nil, nil, nil, err
+		}
+		perFn[fn] = fn
 	}
 
 	var sources []dynamic.WatchedSource
-	for _, f := range dataFiles {
+	for _, f := range cfg.dataFiles {
 		f := f
 		sources = append(sources, dynamic.WatchedSource{
 			Name:  "ddl:" + f,
@@ -368,7 +347,7 @@ func buildServer(dataFiles, bibFiles, templates []string, queryFile string, look
 			},
 		})
 	}
-	for _, f := range bibFiles {
+	for _, f := range cfg.bibFiles {
 		f := f
 		sources = append(sources, dynamic.WatchedSource{
 			Name:  "bibtex:" + f,
@@ -393,39 +372,53 @@ func buildServer(dataFiles, bibFiles, templates []string, queryFile string, look
 	if len(sources) > 0 {
 		rl, err = dynamic.NewReloader(sources...)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		data, err = rl.Warehouse()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	} else {
 		data = struql.NewGraphSource(graph.New())
 	}
 
-	ev := dynamic.NewEvaluator(schema.Build(q), data)
-	ev.Lookahead = lookahead
-	ts := template.NewSet()
-	srv := dynamic.NewServer(ev, ts)
+	fl, err := fleet.New(fleet.Config{
+		Schema:    schema.Build(q),
+		Templates: ts,
+		PerFn:     perFn,
+		Shards:    cfg.shards,
+		Replicas:  cfg.replicas,
+		Lookahead: cfg.lookahead,
+		Obs:       fleetMetrics,
+		ServeObs:  metrics,
+		Gray: fleet.GrayConfig{
+			Breaker: fleet.BreakerConfig{
+				Failures: cfg.breakerFailures,
+				OpenFor:  cfg.breakerOpenFor,
+			},
+			HedgeMinDelay:  cfg.hedgeMinDelay,
+			HedgeMaxDelay:  cfg.hedgeMaxDelay,
+			HedgeRatio:     cfg.hedgeRatio,
+			DisableHedge:   !cfg.hedge,
+			RetryRatio:     cfg.retryRatio,
+			AttemptTimeout: cfg.attemptTimeout,
+			ProbeInterval:  cfg.probeInterval,
+		},
+	}, data)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(fl.EntryPoints()) == 0 {
+		return nil, nil, nil, fmt.Errorf("the query has no unconditional zero-argument Skolem creation to serve as an entry point")
+	}
+	edge := fleet.NewEdge(fl)
+	edge.StaleFor = cfg.staleFor
+	edge.RequestTimeout = cfg.requestTimeout
+	edge.MaxInflight = cfg.maxInflight
+	edge.Obs = fleetMetrics
 	if rl != nil {
-		rl.Attach(ev, srv.Health)
+		// Hot reloads swap every replica of every shard in lockstep.
+		rl.AttachSwapper(fl, edge.Health)
 	}
-	for _, spec := range templates {
-		fn, file, ok := strings.Cut(spec, "=")
-		if !ok {
-			return nil, nil, fmt.Errorf("-template wants SkolemFn=file, got %q", spec)
-		}
-		b, err := os.ReadFile(file)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := ts.Add(fn, string(b)); err != nil {
-			return nil, nil, err
-		}
-		srv.PerFn[fn] = fn
-	}
-	if len(ev.EntryPoints()) == 0 {
-		return nil, nil, fmt.Errorf("the query has no unconditional zero-argument Skolem creation to serve as an entry point")
-	}
-	return srv, rl, nil
+	return fl, edge, rl, nil
 }

@@ -46,14 +46,16 @@ func TestBuildServerAndServe(t *testing.T) {
 	rootTmpl := write(t, dir, "Root.tmpl", `<h1><SFMT title></h1><SFMT pub UL TEXT=title>`)
 	pageTmpl := write(t, dir, "Page.tmpl", `<b><SFMT title></b>`)
 
-	srv, rl, err := buildServer([]string{ddl}, nil, []string{"Root=" + rootTmpl, "Page=" + pageTmpl}, query, true)
+	cfg := config{dataFiles: []string{ddl}, templates: []string{"Root=" + rootTmpl, "Page=" + pageTmpl},
+		queryFile: query, lookahead: true, queryAPI: true}
+	fl, edge, rl, err := buildServer(cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rl == nil {
 		t.Fatal("a server with data files should have a reloader")
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(frontDoor(cfg, fl, edge, nil))
 	defer hs.Close()
 	resp, err := http.Get(hs.URL + "/")
 	if err != nil {
@@ -83,17 +85,29 @@ func TestBuildServerAndServe(t *testing.T) {
 	if st.Status != "ok" {
 		t.Errorf("healthz status = %q", st.Status)
 	}
+
+	// The query API shares the front door and the fleet.
+	resp, err = http.Post(hs.URL+"/query", "application/json", strings.NewReader(`{"query":"where Pubs(x)"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"total_rows":2`) {
+		t.Errorf("/query = %d:\n%s", resp.StatusCode, body)
+	}
 }
 
 func TestBuildServerHotReload(t *testing.T) {
 	dir := t.TempDir()
 	ddl := write(t, dir, "d.ddl", testDDL)
 	query := write(t, dir, "q.struql", testQuery)
-	srv, rl, err := buildServer([]string{ddl}, nil, nil, query, false)
+	cfg := config{dataFiles: []string{ddl}, queryFile: query}
+	fl, edge, rl, err := buildServer(cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewServer(frontDoor(cfg, fl, edge, nil))
 	defer hs.Close()
 	if body := get(t, hs.URL+"/"); !strings.Contains(body, "Library") {
 		t.Fatalf("initial body:\n%s", body)
@@ -137,20 +151,20 @@ func TestBuildServerErrors(t *testing.T) {
 		fn   func() error
 	}{
 		{"no query", func() error {
-			_, _, err := buildServer(nil, nil, nil, "", false)
+			_, _, _, err := buildServer(config{}, nil, nil)
 			return err
 		}},
 		{"bad template spec", func() error {
-			_, _, err := buildServer(nil, nil, []string{"noequals"}, query, false)
+			_, _, _, err := buildServer(config{templates: []string{"noequals"}, queryFile: query}, nil, nil)
 			return err
 		}},
 		{"missing data file", func() error {
-			_, _, err := buildServer([]string{"/nonexistent.ddl"}, nil, nil, query, false)
+			_, _, _, err := buildServer(config{dataFiles: []string{"/nonexistent.ddl"}, queryFile: query}, nil, nil)
 			return err
 		}},
 		{"no entry point", func() error {
 			q2 := write(t, dir, "q2.struql", `where Pubs(x) create P(x)`)
-			_, _, err := buildServer(nil, nil, nil, q2, false)
+			_, _, _, err := buildServer(config{queryFile: q2}, nil, nil)
 			return err
 		}},
 	}

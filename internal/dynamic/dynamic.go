@@ -316,15 +316,7 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, ref PageRef, loo
 			ev.Obs.PageCacheMisses.Inc()
 		}
 
-		pd, err := ev.compute(ctx, st, ref, oid)
-		st.mu.Lock()
-		delete(st.flight, oid)
-		if err == nil {
-			st.cache[oid] = pd
-		}
-		st.mu.Unlock()
-		c.pd, c.err = pd, err
-		close(c.done)
+		pd, err := ev.lead(ctx, st, ref, oid, c)
 		if err != nil {
 			return nil, err
 		}
@@ -350,6 +342,33 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, ref PageRef, loo
 		}
 		return pd, nil
 	}
+}
+
+// errLeaderPanicked is what waiters on a page computation see when its
+// leader panicked; the panic itself travels on up the leader's stack.
+var errLeaderPanicked = errors.New("dynamic: page computation panicked")
+
+// lead computes a page as the flight's leader and settles the flight,
+// caching a success. The flight is settled even when compute panics, so
+// waiters are released and the page stays computable.
+func (ev *Evaluator) lead(ctx context.Context, st *evalState, ref PageRef, oid graph.OID, c *flightCall) (pd *PageData, err error) {
+	settled := false
+	defer func() {
+		if !settled {
+			err = errLeaderPanicked
+		}
+		st.mu.Lock()
+		delete(st.flight, oid)
+		if err == nil {
+			st.cache[oid] = pd
+		}
+		st.mu.Unlock()
+		c.pd, c.err = pd, err
+		close(c.done)
+	}()
+	pd, err = ev.compute(ctx, st, ref, oid)
+	settled = true
+	return pd, err
 }
 
 // compute runs the incremental query of every schema edge leaving the

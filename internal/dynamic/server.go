@@ -2,35 +2,21 @@ package dynamic
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"html"
-	"log"
-	"net/http"
 	"net/url"
-	"runtime/debug"
 	"strings"
-	"time"
 
 	"strudel/internal/graph"
-	"strudel/internal/obs"
 	"strudel/internal/template"
 )
 
-// Server serves a Strudel site dynamically: every request evaluates (or
-// reuses from cache) the incremental queries of the requested page and
-// renders it through the same template language the static generator
-// uses. Routes:
-//
-//	/              the first entry point
-//	/page/<oid>    any page, by Skolem oid
-//	/healthz       liveness + reload status (never load-shed)
-//
-// The server is hardened for real traffic: the evaluator is fully
-// concurrent (per-page single-flight, parallel across pages), requests
-// carry deadlines and are cancelled when clients disconnect, panics are
-// caught and logged, excess load is shed with 503 + Retry-After, and
-// internal error detail never reaches a response body.
+// Server renders a Strudel site's pages at click time: every render
+// evaluates (or reuses from cache) the incremental queries of the
+// requested page and renders it through the same template language the
+// static generator uses. It has no HTTP surface of its own; fleet
+// replicas render through it behind fleet.Edge, the production front
+// door, and reference oracles call it directly.
 type Server struct {
 	Ev        *Evaluator
 	Templates *template.Set
@@ -38,201 +24,20 @@ type Server struct {
 	PerFn map[string]string
 	// Default names a fallback template; empty uses a built-in listing.
 	Default string
-	// Root is the page served at "/"; when its Fn is empty, the first
-	// entry point (alphabetically) is used.
-	Root PageRef
 	// PageURLFunc, when non-nil, overrides the URL scheme used for links
-	// between pages. The fleet edge sets a self-describing ref encoding
+	// between pages. The fleet sets a self-describing ref encoding
 	// (function name + argument keys) so any shard replica can resolve a
 	// page it has never computed; nil keeps the single-server oid scheme.
-	// Set before serving; read without synchronization.
+	// Set before rendering; read without synchronization.
 	PageURLFunc func(ref PageRef, oid graph.OID) string
-
-	// RequestTimeout bounds each page request's evaluation and render; 0
-	// disables the per-request deadline. Set before calling Handler.
-	RequestTimeout time.Duration
-	// MaxInflight bounds concurrently served page requests; past it the
-	// server sheds load with 503 + Retry-After. 0 means unlimited. Set
-	// before calling Handler.
-	MaxInflight int
-	// Logger receives server-side error detail (what clients never see);
-	// nil uses the process default logger.
-	Logger *log.Logger
-	// Health is the reload/degradation status reported by /healthz.
-	Health *Health
-	// Obs, when non-nil, receives request counts, latency, in-flight,
-	// shed/timeout/panic counters. Set before Handler; nil disables.
-	Obs *obs.ServeMetrics
 }
 
-// NewServer returns a server over an evaluator and templates.
+// NewServer returns a renderer over an evaluator and templates.
 func NewServer(ev *Evaluator, ts *template.Set) *Server {
-	return &Server{Ev: ev, Templates: ts, PerFn: map[string]string{}, Health: NewHealth()}
+	return &Server{Ev: ev, Templates: ts, PerFn: map[string]string{}}
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.Logger != nil {
-		s.Logger.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
-}
-
-// Handler returns the HTTP handler with the hardening middleware applied:
-// recovery(healthz | shed(deadline(pages))).
-func (s *Server) Handler() http.Handler {
-	pages := http.NewServeMux()
-	pages.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		root := s.Root
-		if root.Fn == "" {
-			roots := s.Ev.EntryPoints()
-			if len(roots) == 0 {
-				http.Error(w, "site has no entry points", http.StatusNotFound)
-				return
-			}
-			root = roots[0]
-		}
-		s.servePage(w, r, root)
-	})
-	pages.HandleFunc("/page/", func(w http.ResponseWriter, r *http.Request) {
-		oid := strings.TrimPrefix(r.URL.Path, "/page/")
-		oid, err := url.PathUnescape(oid)
-		if err != nil {
-			http.Error(w, "bad page id", http.StatusBadRequest)
-			return
-		}
-		ref, ok := s.Ev.RefFor(graph.OID(oid))
-		if !ok {
-			http.Error(w, "unknown page "+oid, http.StatusNotFound)
-			return
-		}
-		s.servePage(w, r, ref)
-	})
-
-	root := http.NewServeMux()
-	// /healthz bypasses load shedding and the request deadline so that a
-	// saturated or degraded server can still be probed.
-	root.HandleFunc("/healthz", s.serveHealth)
-	root.Handle("/", s.withShedding(s.withDeadline(s.withMetrics(pages))))
-	return s.withRecovery(root)
-}
-
-// withMetrics counts and times page requests. Identity when Obs is nil.
-func (s *Server) withMetrics(next http.Handler) http.Handler {
-	if s.Obs == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.Obs.Requests.Inc()
-		s.Obs.InFlight.Inc()
-		start := time.Now()
-		defer func() {
-			s.Obs.RequestNanos.Observe(int64(time.Since(start)))
-			s.Obs.InFlight.Dec()
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// withRecovery catches handler panics, logs the stack server-side, and
-// returns a sanitized 500.
-func (s *Server) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if s.Obs != nil {
-					s.Obs.Panics.Inc()
-				}
-				s.logf("dynamic: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
-				// If the handler already wrote, this is a no-op late
-				// header write; the connection is torn down regardless.
-				http.Error(w, "internal server error", http.StatusInternalServerError)
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// withShedding bounds in-flight page requests; excess load is refused
-// immediately with 503 + Retry-After instead of queueing without bound.
-func (s *Server) withShedding(next http.Handler) http.Handler {
-	if s.MaxInflight <= 0 {
-		return next
-	}
-	sem := make(chan struct{}, s.MaxInflight)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
-		default:
-			if s.Obs != nil {
-				s.Obs.Shed.Inc()
-			}
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "server overloaded, retry shortly", http.StatusServiceUnavailable)
-		}
-	})
-}
-
-// withDeadline attaches the per-request timeout to the request context;
-// evaluation observes it at operator boundaries.
-func (s *Server) withDeadline(next http.Handler) http.Handler {
-	if s.RequestTimeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.RequestTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
-func (s *Server) serveHealth(w http.ResponseWriter, r *http.Request) {
-	h := s.Health
-	if h == nil {
-		h = NewHealth()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(h.StatusJSON(s.Ev.CacheSize()))
-}
-
-func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ref PageRef) {
-	htmlText, err := s.RenderPageCtx(r.Context(), ref)
-	if err != nil {
-		s.failRequest(w, r, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, htmlText)
-}
-
-// failRequest maps an evaluation/render error to a response: timeouts are
-// 504, client disconnects get no body (nobody is listening), and
-// everything else is a sanitized 500 with the detail logged server-side
-// only — error strings can embed data values and internals.
-func (s *Server) failRequest(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		if s.Obs != nil {
-			s.Obs.Timeouts.Inc()
-		}
-		s.logf("dynamic: %s: request deadline exceeded: %v", r.URL.Path, err)
-		http.Error(w, "request timed out", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		s.logf("dynamic: %s: request cancelled by client: %v", r.URL.Path, err)
-	default:
-		s.logf("dynamic: %s: internal error: %v", r.URL.Path, err)
-		http.Error(w, "internal server error", http.StatusInternalServerError)
-	}
-}
-
-// RenderPage computes and renders one page (exported for tests and for
-// the click-time benchmarks, bypassing HTTP).
+// RenderPage computes and renders one page.
 func (s *Server) RenderPage(ref PageRef) (string, error) {
 	return s.RenderPageCtx(context.Background(), ref)
 }

@@ -48,7 +48,6 @@ func TestServerEmbedsDynamicPages(t *testing.T) {
 	ts.MustAdd("Root", `<SINCLUDE header><h1><SFMT title></h1><SFMT Card EMBED UL>`)
 	ts.MustAdd("Card", `[<SFMT name>|<SFMT pic>|<SFMT self EMBED>]`)
 	srv := NewServer(ev, ts)
-	srv.Root = PageRef{Fn: "Root"}
 	srv.PerFn["Root"] = "Root"
 	srv.PerFn["Card"] = "Card"
 	out, err := srv.RenderPage(PageRef{Fn: "Root"})

@@ -1,10 +1,12 @@
-package dynamic
+package dynamic_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,10 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"strudel/internal/dynamic"
+	"strudel/internal/fleet"
 	"strudel/internal/graph"
 	"strudel/internal/obs"
-	"strudel/internal/schema"
-	"strudel/internal/struql"
 	"strudel/internal/template"
 )
 
@@ -51,12 +53,18 @@ func stressGraph(version int) *graph.Graph {
 
 var verRE = regexp.MustCompile(`ver\d{4}`)
 
+var errInjected = errors.New("injected fault")
+
 // TestStressServeUnderFaultyReloads is the end-to-end robustness drill:
-// 32 concurrent clients hammer the server while the data source is
+// 32 concurrent clients hammer a 1×1 fleet while the data source is
 // reloaded repeatedly, with injected wrapper faults making some reloads
-// fail and then recover mid-run. It proves, under -race:
+// fail and then recover mid-run. Half the clients browse through the
+// edge; the other half render on the replica directly, so the edge's
+// page cache cannot mask the evaluator's concurrency. It proves, under
+// -race:
 //
-//   - no response ever mixes two data generations (no torn graph),
+//   - no response or render ever mixes two data generations (no torn
+//     graph),
 //   - a degraded server keeps serving complete last-good pages while
 //     /healthz reports degraded,
 //   - recovery restores fresh pages and a healthy /healthz.
@@ -67,16 +75,16 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 	}
 	var verMu sync.Mutex
 	version := 0
-	fl := NewFlakyLoader(func() (*graph.Graph, error) {
+	loader := dynamic.NewFlakyLoader(func() (*graph.Graph, error) {
 		verMu.Lock()
 		defer verMu.Unlock()
 		return stressGraph(version), nil
 	})
-	rl, err := NewReloader(WatchedSource{Name: "pubs", Paths: []string{stampPath}, Load: fl.Load})
+	rl, err := dynamic.NewReloader(dynamic.WatchedSource{Name: "pubs", Paths: []string{stampPath}, Load: loader.Load})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl.Logger = quietLogger()
+	rl.Logger = log.New(io.Discard, "", 0)
 	rl.Jitter = 0
 	rl.BackoffMin = time.Millisecond
 	rl.BackoffMax = 4 * time.Millisecond
@@ -86,20 +94,32 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator(schema.Build(struql.MustParse(stressQuery)), data)
 	ts := template.NewSet()
 	ts.MustAdd("Root", `<SFMT p UL TEXT=ver>`)
-	srv := NewServer(ev, ts)
-	srv.PerFn["Root"] = "Root"
-	srv.RequestTimeout = 10 * time.Second
-	srv.Obs = metrics
-	ev.Obs = metrics
-	rl.Attach(ev, srv.Health)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	fl, edge := newFrontDoor(t, fleet.Config{Schema: siteSchema(stressQuery), Templates: ts,
+		PerFn: map[string]string{"Root": "Root"}, ServeObs: metrics}, data)
+	edge.StaleFor = 0
+	edgeObs := &obs.FleetMetrics{}
+	edge.Obs = edgeObs
+	rl.AttachSwapper(fl, edge.Health)
+	hs := serve(t, edge)
 
-	// checkResponse asserts one response is a complete page from exactly
-	// one data generation.
+	// checkBody asserts one page body is complete and from exactly one
+	// data generation.
+	checkBody := func(src, body string) string {
+		markers := verRE.FindAllString(body, -1)
+		if len(markers) != stressPubs {
+			t.Errorf("%s lists %d publications, want %d (partial page):\n%s", src, len(markers), stressPubs, body)
+			return ""
+		}
+		for _, m := range markers[1:] {
+			if m != markers[0] {
+				t.Errorf("torn graph: %s mixes %s and %s:\n%s", src, markers[0], m, body)
+				return ""
+			}
+		}
+		return markers[0]
+	}
 	client := &http.Client{Timeout: 15 * time.Second}
 	checkResponse := func() string {
 		resp, err := client.Get(hs.URL + "/")
@@ -118,18 +138,16 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 			t.Errorf("GET / = %d: %q", resp.StatusCode, body)
 			return ""
 		}
-		markers := verRE.FindAllString(body, -1)
-		if len(markers) != stressPubs {
-			t.Errorf("response lists %d publications, want %d (partial page):\n%s", len(markers), stressPubs, body)
-			return ""
+		return checkBody("response", body)
+	}
+	root := dynamic.PageRef{Fn: "Root"}
+	checkRender := func() {
+		body, _, err := fl.Replica(0, 0).Render(context.Background(), root)
+		if err != nil {
+			t.Errorf("render: %v", err)
+			return
 		}
-		for _, m := range markers[1:] {
-			if m != markers[0] {
-				t.Errorf("torn graph: response mixes %s and %s:\n%s", markers[0], m, body)
-				return ""
-			}
-		}
-		return markers[0]
+		checkBody("render", body)
 	}
 
 	// 32 concurrent clients loop until the drill ends.
@@ -137,6 +155,10 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
+		check := func() { checkResponse() }
+		if i%2 == 1 {
+			check = checkRender
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -146,7 +168,7 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 					return
 				default:
 				}
-				checkResponse()
+				check()
 			}
 		}()
 	}
@@ -177,9 +199,9 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 		}
 		if round%3 == 0 {
 			// This round's reload fails twice before recovering.
-			fl.FailNext(2, errInjected)
+			loader.FailNext(2, errInjected)
 			rl.Tick(time.Now())
-			if !srv.Health.Degraded() {
+			if !edge.Health.Degraded() {
 				t.Fatalf("round %d: health not degraded after failed reload", round)
 			}
 			degradedWindows++
@@ -193,7 +215,7 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 			}
 			// Retry (per backoff) until the source recovers.
 			deadline := time.Now().Add(10 * time.Second)
-			for srv.Health.Degraded() {
+			for edge.Health.Degraded() {
 				if time.Now().After(deadline) {
 					t.Fatalf("round %d: reload never recovered", round)
 				}
@@ -211,7 +233,7 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 	if degradedWindows == 0 {
 		t.Error("drill never exercised a degraded window")
 	}
-	_, failed := fl.Calls()
+	_, failed := loader.Calls()
 	if failed < degradedWindows {
 		t.Errorf("injected faults: %d failed loads over %d windows", failed, degradedWindows)
 	}
@@ -229,7 +251,7 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 	if got := metrics.ReloadFailures.Load(); got != int64(failed) {
 		t.Errorf("reload_failures = %d, want %d (one per failed attempt)", got, failed)
 	}
-	if hst := srv.Health.Snapshot(ev.CacheSize()); hst.FailedRounds != degradedWindows {
+	if hst := edge.Health.Snapshot(edge.CacheSize()); hst.FailedRounds != degradedWindows {
 		t.Errorf("healthz failedRounds = %d, want %d", hst.FailedRounds, degradedWindows)
 	} else if hst.Failures != failed {
 		t.Errorf("healthz failures = %d, want %d", hst.Failures, failed)
@@ -238,14 +260,11 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 		t.Errorf("reload_applied = %d, want %d", got, rounds)
 	}
 	// Serving-side metrics were live during the drill.
-	if metrics.Requests.Load() == 0 || metrics.RequestNanos.Count() == 0 {
+	if edgeObs.EdgeRequests.Load() == 0 || edgeObs.EdgeNanos.Count() == 0 {
 		t.Error("request metrics not recorded during the drill")
 	}
 	if metrics.PagesComputed.Load() == 0 {
 		t.Error("no page computations recorded")
-	}
-	if got := metrics.InFlight.Load(); got != 0 {
-		t.Errorf("in_flight = %d after drain, want 0", got)
 	}
 }
 

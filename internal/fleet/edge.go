@@ -7,13 +7,14 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"strudel/internal/dynamic"
 	"strudel/internal/htmlgen"
+	"strudel/internal/httpx"
 	"strudel/internal/obs"
 )
 
@@ -137,9 +138,10 @@ func ETag(gen int64, body string) string {
 	return fmt.Sprintf(`"g%d-%s"`, gen, htmlgen.PageHash(body))
 }
 
-// Handler returns the edge's HTTP handler:
-// recovery(healthz | shed(deadline(metrics(pages)))), the same
-// middleware contract as the single-evaluator server.
+// Handler returns the edge's HTTP handler. /healthz answers inside
+// panic recovery but outside everything else, so a saturated or slow
+// edge can still be probed; page requests run the whole front door:
+// Recover → Shed → Deadline → Metrics → pages.
 func (e *Edge) Handler() http.Handler {
 	e.init()
 	pages := http.NewServeMux()
@@ -180,62 +182,32 @@ func (e *Edge) Handler() http.Handler {
 		e.servePage(w, r, EncodeRef(ref), ref)
 	})
 
+	var requests *obs.Counter
+	var nanos *obs.Histogram
+	if e.Obs != nil {
+		requests, nanos = &e.Obs.EdgeRequests, &e.Obs.EdgeNanos
+	}
 	root := http.NewServeMux()
 	root.HandleFunc("/healthz", e.serveHealth)
-	root.Handle("/", e.withShedding(e.withDeadline(e.withMetrics(pages))))
-	return e.withRecovery(root)
-}
-
-func (e *Edge) withMetrics(next http.Handler) http.Handler {
-	if e.Obs == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		e.Obs.EdgeRequests.Inc()
-		start := time.Now()
-		defer func() { e.Obs.EdgeNanos.Observe(int64(time.Since(start))) }()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func (e *Edge) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				e.logf("fleet: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
-				http.Error(w, "internal server error", http.StatusInternalServerError)
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func (e *Edge) withShedding(next http.Handler) http.Handler {
-	if e.MaxInflight <= 0 {
-		return next
-	}
-	sem := make(chan struct{}, e.MaxInflight)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
-		default:
-			w.Header().Set("Retry-After", "1")
+	root.Handle("/", httpx.Chain(pages,
+		httpx.Shed(e.MaxInflight, func(w http.ResponseWriter, r *http.Request) {
+			e.count(func(m *obs.FleetMetrics) { m.Shed.Inc() })
+			w.Header().Set("Retry-After", strconv.Itoa(httpx.RetryAfter(0)))
 			http.Error(w, "server overloaded, retry shortly", http.StatusServiceUnavailable)
-		}
-	})
+		}),
+		httpx.Deadline(e.RequestTimeout),
+		httpx.Metrics(requests, nanos)))
+	return httpx.Recover(e.logf, func(w http.ResponseWriter, r *http.Request) {
+		e.count(func(m *obs.FleetMetrics) { m.Panics.Inc() })
+		http.Error(w, "internal server error", http.StatusInternalServerError)
+	})(root)
 }
 
-func (e *Edge) withDeadline(next http.Handler) http.Handler {
-	if e.RequestTimeout <= 0 {
-		return next
+// count applies f to the edge's metrics when there are any.
+func (e *Edge) count(f func(m *obs.FleetMetrics)) {
+	if e.Obs != nil {
+		f(e.Obs)
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), e.RequestTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
 }
 
 func (e *Edge) serveHealth(w http.ResponseWriter, r *http.Request) {
@@ -315,9 +287,7 @@ func (e *Edge) revalidate(key string, ref dynamic.PageRef) {
 	}
 	e.reval[key] = true
 	e.mu.Unlock()
-	if e.Obs != nil {
-		e.Obs.Revalidations.Inc()
-	}
+	e.count(func(m *obs.FleetMetrics) { m.Revalidations.Inc() })
 	go func() {
 		defer func() {
 			e.mu.Lock()
@@ -357,22 +327,18 @@ func (e *Edge) servePage(w http.ResponseWriter, r *http.Request, key string, ref
 
 	switch {
 	case ent != nil && ent.gen >= cur:
-		if e.Obs != nil {
-			e.Obs.CacheHits.Inc()
-		}
+		e.count(func(m *obs.FleetMetrics) { m.CacheHits.Inc() })
 	case ent != nil && !conditional && e.StaleFor > 0 && e.now().Sub(e.Cluster.LastSwap()) <= e.StaleFor:
-		if e.Obs != nil {
-			e.Obs.StaleServed.Inc()
-		}
+		e.count(func(m *obs.FleetMetrics) { m.StaleServed.Inc() })
 		e.revalidate(key, ref)
 	default:
-		if e.Obs != nil {
+		e.count(func(m *obs.FleetMetrics) {
 			if ent == nil {
-				e.Obs.CacheMisses.Inc()
+				m.CacheMisses.Inc()
 			} else {
-				e.Obs.Revalidations.Inc()
+				m.Revalidations.Inc()
 			}
-		}
+		})
 		fresh, err := e.fetch(r.Context(), key, ref)
 		if err != nil {
 			e.failRequest(w, r, err)
@@ -391,18 +357,14 @@ func (e *Edge) writeEntry(w http.ResponseWriter, r *http.Request, ent *edgeEntry
 	h.Set("Last-Modified", ent.lastMod.UTC().Format(http.TimeFormat))
 	h.Set("Cache-Control", "no-cache") // validators, not TTLs, drive freshness
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		if etagMatch(inm, ent.etag) {
-			if e.Obs != nil {
-				e.Obs.NotModified.Inc()
-			}
+		if httpx.ETagMatch(inm, ent.etag) {
+			e.count(func(m *obs.FleetMetrics) { m.NotModified.Inc() })
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	} else if ims := r.Header.Get("If-Modified-Since"); ims != "" {
 		if t, err := http.ParseTime(ims); err == nil && !ent.lastMod.UTC().After(t) {
-			if e.Obs != nil {
-				e.Obs.NotModified.Inc()
-			}
+			e.count(func(m *obs.FleetMetrics) { m.NotModified.Inc() })
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
@@ -411,52 +373,20 @@ func (e *Edge) writeEntry(w http.ResponseWriter, r *http.Request, ent *edgeEntry
 	fmt.Fprint(w, ent.body)
 }
 
-// etagMatch implements the If-None-Match list ("*" or comma-separated
-// entity tags; weak compare, so W/ prefixes are ignored).
-func etagMatch(header, etag string) bool {
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		t := strings.TrimSpace(part)
-		t = strings.TrimPrefix(t, "W/")
-		if t == etag {
-			return true
-		}
-	}
-	return false
-}
-
 // failRequest maps fetch errors to responses: a dead shard is 503 +
-// Retry-After (the fleet may heal), a deadline 504, everything else a
-// sanitized 500 with detail logged server-side only.
+// Retry-After (the fleet may heal); everything else goes through the
+// shared mapper, which counts toward Timeouts when it answers 504.
 func (e *Edge) failRequest(w http.ResponseWriter, r *http.Request, err error) {
 	var down ErrShardDown
-	switch {
-	case errors.As(err, &down):
+	if errors.As(err, &down) {
 		e.logf("fleet: %s: %v", r.URL.Path, err)
-		w.Header().Set("Retry-After", retryAfterSeconds(down.RetryAfter))
+		w.Header().Set("Retry-After", strconv.Itoa(httpx.RetryAfter(down.RetryAfter)))
 		http.Error(w, "shard unavailable, retry shortly", http.StatusServiceUnavailable)
-	case errors.Is(err, context.DeadlineExceeded):
-		e.logf("fleet: %s: request deadline exceeded: %v", r.URL.Path, err)
-		http.Error(w, "request timed out", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		e.logf("fleet: %s: request cancelled by client: %v", r.URL.Path, err)
-	default:
-		e.logf("fleet: %s: internal error: %v", r.URL.Path, err)
-		http.Error(w, "internal server error", http.StatusInternalServerError)
+		return
 	}
-}
-
-// retryAfterSeconds formats a recovery hint as a Retry-After header
-// value: whole seconds, rounded up, at least 1 (clients treat 0 as
-// "retry immediately", which defeats the point of the hint).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+	if httpx.Fail(w, r, err, e.logf) == http.StatusGatewayTimeout {
+		e.count(func(m *obs.FleetMetrics) { m.Timeouts.Inc() })
 	}
-	return fmt.Sprintf("%d", secs)
 }
 
 // CacheSize returns the number of cached pages (for /healthz and

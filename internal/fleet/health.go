@@ -461,7 +461,9 @@ func (g *grayState) startProbes(ctx context.Context, probe func(ctx context.Cont
 					rel, _ := h.acquire(true)
 					pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
 					start := g.now()
-					err := probe(pctx, shard, idx)
+					_, _, err := g.safeAttempt(pctx, func(ctx context.Context, idx int) (string, int64, error) {
+						return "", 0, probe(ctx, shard, idx)
+					}, shard, idx)
 					cancel()
 					g.count(func(m *obs.FleetMetrics) { m.Probes.Inc() })
 					if err != nil {

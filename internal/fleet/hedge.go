@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"time"
 
 	"strudel/internal/obs"
@@ -34,6 +36,13 @@ var errAttemptTimeout = errors.New("fleet: replica attempt timed out")
 
 // errLost marks an attempt cancelled because a sibling won the race.
 var errLost = errors.New("fleet: attempt lost race")
+
+// errPanicked marks an attempt whose render panicked. The panic value
+// and stack are logged where the attempt caught them; the error carries
+// nothing a client could see. It counts against the replica's breaker
+// but is not failed over: a sibling on the same generation would panic
+// the same way.
+var errPanicked = errors.New("fleet: replica attempt panicked")
 
 // errUnavail is a transport-level replica failure on the HTTP path:
 // connection refused/reset, a 503 from the replica server, a corrupt
@@ -114,7 +123,7 @@ func (g *grayState) fetch(ctx context.Context, shard int, attempt fetchAttempt) 
 			pending++
 			go func(idx int, actx context.Context, rel releaseFn, hedged bool) {
 				start := g.now()
-				body, gen, err := attempt(actx, idx)
+				body, gen, err := g.safeAttempt(actx, attempt, shard, idx)
 				elapsed := g.now().Sub(start)
 				err = classifyAttempt(ctx, actx, err, rel, elapsed)
 				results <- attemptRes{body: body, gen: gen, err: err, idx: idx, hedged: hedged, elapsed: elapsed}
@@ -214,6 +223,21 @@ func (g *grayState) fetch(ctx context.Context, shard int, attempt fetchAttempt) 
 	return "", 0, lastErr
 }
 
+// safeAttempt runs one attempt, turning a panic into errPanicked. An
+// attempt runs in its own goroutine, where no HTTP handler's recovery
+// can see it, so without this a panicking render would kill the whole
+// process.
+func (g *grayState) safeAttempt(ctx context.Context, attempt fetchAttempt, shard, idx int) (body string, gen int64, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			g.count(func(m *obs.FleetMetrics) { m.Panics.Inc() })
+			log.Printf("fleet: panic in shard %d replica %d: %v\n%s", shard, idx, p, debug.Stack())
+			body, gen, err = "", 0, errPanicked
+		}
+	}()
+	return attempt(ctx, idx)
+}
+
 // classifyAttempt translates a finished attempt into its health
 // outcome (recorded via rel) and a normalized error for the fetch
 // loop.
@@ -222,6 +246,9 @@ func classifyAttempt(parent, actx context.Context, err error, rel releaseFn, ela
 	case err == nil:
 		rel(outcomeOK, elapsed)
 		return nil
+	case errors.Is(err, errPanicked):
+		rel(outcomeFail, 0)
+		return err
 	case parent.Err() != nil:
 		// The whole request died (client gone, deadline): not the
 		// replica's fault.

@@ -12,6 +12,7 @@ import (
 
 	"strudel/internal/dynamic"
 	"strudel/internal/htmlgen"
+	"strudel/internal/httpx"
 )
 
 // This file is the over-the-wire shard transport: a replica can be
@@ -82,7 +83,7 @@ func (s *ReplicaServer) Handler() http.Handler {
 				if ra <= 0 {
 					ra = time.Second
 				}
-				w.Header().Set("Retry-After", retryAfterSeconds(ra))
+				w.Header().Set("Retry-After", strconv.Itoa(httpx.RetryAfter(ra)))
 				http.Error(w, "replica down", http.StatusServiceUnavailable)
 			case ctx.Err() != nil:
 				http.Error(w, "request timed out", http.StatusGatewayTimeout)

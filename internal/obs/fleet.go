@@ -12,6 +12,14 @@ type FleetMetrics struct {
 	// generator reads its percentiles back over /debug/vars).
 	EdgeRequests Counter
 	EdgeNanos    Histogram
+	// The front door's refusals. Shed counts page requests refused 503
+	// at the edge's MaxInflight; Timeouts page requests answered 504
+	// because the edge's RequestTimeout expired; Panics panics recovered
+	// anywhere on the serving path — in the edge's handler chain or
+	// inside a replica's render attempt.
+	Shed     Counter
+	Timeouts Counter
+	Panics   Counter
 	// CacheHits counts requests served from a fresh cache entry without
 	// touching a shard; CacheMisses cold fetches; StaleServed responses
 	// served from a stale (pre-reload) entry inside the
@@ -65,6 +73,9 @@ func (m *FleetMetrics) Snapshot() map[string]any {
 	return map[string]any{
 		"edge_requests":          m.EdgeRequests.Load(),
 		"edge_nanos":             histSnap(&m.EdgeNanos),
+		"shed":                   m.Shed.Load(),
+		"timeouts":               m.Timeouts.Load(),
+		"panics":                 m.Panics.Load(),
 		"cache_hits":             m.CacheHits.Load(),
 		"cache_misses":           m.CacheMisses.Load(),
 		"stale_served":           m.StaleServed.Load(),

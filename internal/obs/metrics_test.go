@@ -222,11 +222,13 @@ func TestRacedRegistryJSON(t *testing.T) {
 	sm := &SourceMetrics{}
 	gm := &GenMetrics{}
 	sv := &ServeMetrics{}
+	fm := &FleetMetrics{}
 	reg := NewRegistry()
 	reg.Register("eval", em)
 	reg.Register("sources", sm)
 	reg.Register("htmlgen", gm)
 	reg.Register("serve", sv)
+	reg.Register("fleet", fm)
 
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
@@ -270,10 +272,11 @@ func TestRacedRegistryJSON(t *testing.T) {
 				sm.RecordLoad(int64(i), nil)
 				sm.RecordDelta(i)
 				gm.RecordWave(i%10, int64(i))
-				sv.Requests.Inc()
-				sv.InFlight.Inc()
-				sv.RequestNanos.Observe(int64(i))
-				sv.InFlight.Dec()
+				sv.PageCacheHits.Inc()
+				fm.EdgeRequests.Inc()
+				fm.EdgeNanos.Observe(int64(i))
+				fm.Generation.Inc()
+				fm.Generation.Dec()
 			}
 		}(w)
 	}
@@ -284,7 +287,10 @@ func TestRacedRegistryJSON(t *testing.T) {
 	if got := em.WhereEvals.Load(); got != hammerWorkers*500 {
 		t.Fatalf("where_evals = %d, want %d", got, hammerWorkers*500)
 	}
-	if got := sv.InFlight.Load(); got != 0 {
-		t.Fatalf("in_flight = %d after balanced inc/dec, want 0", got)
+	if got := sv.PageCacheHits.Load(); got != hammerWorkers*500 {
+		t.Fatalf("page_cache_hits = %d, want %d", got, hammerWorkers*500)
+	}
+	if got := fm.Generation.Load(); got != 0 {
+		t.Fatalf("generation = %d after balanced inc/dec, want 0", got)
 	}
 }

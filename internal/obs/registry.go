@@ -394,10 +394,11 @@ func (m *GenMetrics) Snapshot() map[string]any {
 	}
 }
 
-// ServeMetrics instruments the dynamic click-time server: page-cache
-// behaviour, single-flight coalescing, request latency, load shedding,
-// and hot-reload outcomes. One instance is shared by the evaluator, the
-// HTTP server, and the reloader. Nil-safe throughout.
+// ServeMetrics instruments click-time page evaluation: page-cache
+// behaviour, single-flight coalescing, and hot-reload outcomes. One
+// instance is shared by every replica's evaluator and the reloader; the
+// front door's request counters live in FleetMetrics. Nil-safe
+// throughout.
 type ServeMetrics struct {
 	// PageCacheHits/Misses count page lookups served from (or missing)
 	// the per-generation page cache; Coalesced counts requests that
@@ -407,16 +408,6 @@ type ServeMetrics struct {
 	Coalesced       Counter
 	PagesComputed   Counter
 	QueriesRun      Counter
-	// InFlight is the number of page requests currently being served.
-	InFlight Gauge
-	// RequestNanos is the page-request latency distribution.
-	RequestNanos Histogram
-	Requests     Counter
-	// Shed counts requests refused with 503; Timeouts requests that hit
-	// the per-request deadline; Panics recovered handler panics.
-	Shed     Counter
-	Timeouts Counter
-	Panics   Counter
 	// ReloadAttempts counts source refresh attempts; ReloadFailures
 	// failed attempts (every backoff retry counts); ReloadRoundsFailed
 	// failed rounds — counted exactly once per degraded window, no
@@ -439,12 +430,6 @@ func (m *ServeMetrics) Snapshot() map[string]any {
 		"coalesced":            m.Coalesced.Load(),
 		"pages_computed":       m.PagesComputed.Load(),
 		"queries_run":          m.QueriesRun.Load(),
-		"in_flight":            m.InFlight.Load(),
-		"requests":             m.Requests.Load(),
-		"request_nanos":        histSnap(&m.RequestNanos),
-		"shed":                 m.Shed.Load(),
-		"timeouts":             m.Timeouts.Load(),
-		"panics":               m.Panics.Load(),
 		"reload_attempts":      m.ReloadAttempts.Load(),
 		"reload_failures":      m.ReloadFailures.Load(),
 		"reload_rounds_failed": m.ReloadRoundsFailed.Load(),

@@ -7,9 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"strudel/internal/fleet"
+	"strudel/internal/httpx"
 	"strudel/internal/struql"
 )
 
@@ -127,11 +127,7 @@ func classify(err error) *Error {
 	}
 	var down fleet.ErrShardDown
 	if errors.As(err, &down) {
-		ra := int(down.RetryAfter / time.Second)
-		if ra < 1 {
-			ra = 1
-		}
-		return &Error{Code: CodeUnavailable, RetryAfter: ra,
+		return &Error{Code: CodeUnavailable, RetryAfter: httpx.RetryAfter(down.RetryAfter),
 			Message: fmt.Sprintf("shard %d has no live replica", down.Shard)}
 	}
 	if errors.Is(err, context.DeadlineExceeded) {

@@ -1,14 +1,23 @@
 package queryapi
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"strudel/internal/fleet"
+	"strudel/internal/graph"
 	"strudel/internal/obs"
 	"strudel/internal/qgen"
 	"strudel/internal/repo"
+	"strudel/internal/schema"
+	"strudel/internal/struql"
 )
 
 // Guard trips over HTTP: each evaluator resource guard (rows, NFA
@@ -132,12 +141,29 @@ func TestGuardDeadline(t *testing.T) {
 	counterIs(t, debugVars(t, reg), "guard_deadline_trips", 1)
 }
 
+// blockingBackend parks every evaluation until release closes,
+// signalling entered first — a way to hold the inflight gate with a
+// real request.
+type blockingBackend struct {
+	Backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b blockingBackend) EvalOn(ctx context.Context, key string, fn func(context.Context, struql.Source, int64) (string, error)) (string, int64, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Backend.EvalOn(ctx, key, fn)
+}
+
 // TestShedAtMaxInflight: with the gate full, requests are refused with
 // a typed 503 + Retry-After before any body is read, and both the
 // request and shed counters advance.
 func TestShedAtMaxInflight(t *testing.T) {
+	backend := blockingBackend{Backend: NewSingle(repo.NewIndexed(qgen.Graph(5))),
+		entered: make(chan struct{}, 1), release: make(chan struct{})}
 	svc := &Service{
-		Backend:     NewSingle(repo.NewIndexed(qgen.Graph(5))),
+		Backend:     backend,
 		Limits:      generous(),
 		MaxInflight: 1,
 	}
@@ -146,7 +172,18 @@ func TestShedAtMaxInflight(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Register("queryapi", svc.Obs)
 
-	svc.gate <- struct{}{} // occupy the only slot
+	// Occupy the only slot with a request parked in evaluation.
+	occupant := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"query":"where Items(x)"}`))
+		if err != nil {
+			occupant <- -1
+			return
+		}
+		resp.Body.Close()
+		occupant <- resp.StatusCode
+	}()
+	<-backend.entered
 	code, hdr, e := queryError(t, ts, "/query", QueryRequest{Query: "where Items(x)"})
 	if code != http.StatusServiceUnavailable || e.Code != CodeOverloaded {
 		t.Fatalf("shed = %d/%s, want 503/%s", code, e.Code, CodeOverloaded)
@@ -154,14 +191,17 @@ func TestShedAtMaxInflight(t *testing.T) {
 	if hdr.Get("Retry-After") != "1" {
 		t.Fatalf("shed Retry-After = %q, want 1", hdr.Get("Retry-After"))
 	}
-	<-svc.gate // release; service must recover
+	close(backend.release) // release; service must recover
+	if code := <-occupant; code != http.StatusOK {
+		t.Fatalf("occupying request finished with %d", code)
+	}
 	p := queryPage(t, ts, QueryRequest{Query: "where Items(x)"})
 	if p.header.Kind != "header" {
 		t.Fatalf("service did not recover after shed")
 	}
 	vars := debugVars(t, reg)
 	counterIs(t, vars, "shed", 1)
-	counterIs(t, vars, "requests", 2)
+	counterIs(t, vars, "requests", 3)
 }
 
 // TestTypedBadInput: the 400 taxonomy — parse errors carry the line,
@@ -195,5 +235,45 @@ func TestTypedBadInput(t *testing.T) {
 	if snap["parse_errors"].(int64) != 2 || snap["bad_requests"].(int64) < 2 {
 		t.Fatalf("error counters = parse %v, bad %v; want 2 and >=2",
 			snap["parse_errors"], snap["bad_requests"])
+	}
+}
+
+// panicSource panics whenever a query reads a collection — a stand-in
+// for any bug on the evaluation path.
+type panicSource struct {
+	struql.Source
+}
+
+func (panicSource) Collection(string) []graph.OID { panic("secret internal detail") }
+
+// TestEvalPanicIsSanitized500: an evaluation that panics inside a fleet
+// replica attempt becomes a typed internal 500 without the panic text,
+// the panic text reaches the server log, and the service keeps serving.
+func TestEvalPanicIsSanitized500(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("1x%d", replicas), func(t *testing.T) {
+			var logged bytes.Buffer
+			prev := log.Writer()
+			log.SetOutput(&logged)
+			defer log.SetOutput(prev)
+			f, err := fleet.New(fleet.Config{Schema: schema.Build(struql.MustParse(querySchema)), Replicas: replicas},
+				panicSource{struql.NewGraphSource(qgen.Graph(5))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ts := newQueryServer(t, f, generous())
+			for i := 0; i < 2; i++ {
+				code, _, body := postJSON(t, ts.URL+"/query", QueryRequest{Query: "where Items(x)"}, nil)
+				if code != http.StatusInternalServerError || !strings.Contains(body, `"code":"internal"`) {
+					t.Fatalf("request %d = %d %s, want a typed 500", i, code, body)
+				}
+				if strings.Contains(body, "secret") {
+					t.Fatalf("request %d: panic detail leaked to client: %s", i, body)
+				}
+			}
+			if !strings.Contains(logged.String(), "secret internal detail") {
+				t.Fatalf("panic detail missing from server log:\n%s", logged.String())
+			}
+		})
 	}
 }

@@ -79,6 +79,13 @@ func TestSchemaLabels(t *testing.T) {
 	if code2 != http.StatusNotModified {
 		t.Fatalf("conditional labels = %d, want 304", code2)
 	}
+	// If-None-Match compares weakly (RFC 9110 §13.1.2): a W/ tag and a
+	// tag inside a comma-separated list both match.
+	for _, inm := range []string{"W/" + etag, `"other", ` + etag + `, "more"`} {
+		if code, _, _ := getJSON(t, ts.URL+"/schema/labels", map[string]string{"If-None-Match": inm}); code != http.StatusNotModified {
+			t.Fatalf("conditional labels with If-None-Match %s = %d, want 304", inm, code)
+		}
+	}
 	// POST is rejected.
 	code3, _, body := postJSON(t, ts.URL+"/schema/labels", map[string]any{}, nil)
 	if code3 != http.StatusMethodNotAllowed {

@@ -204,6 +204,13 @@ func TestHTTPOracleConditionalRequests(t *testing.T) {
 	if hdr2.Get("ETag") != etag {
 		t.Fatalf("304 ETag %q != original %q", hdr2.Get("ETag"), etag)
 	}
+	// Weak comparison: a W/-prefixed copy of the validator, or the
+	// validator inside a list, proves the client's copy current too.
+	for _, inm := range []string{"W/" + etag, `"qg999-0-0-5", ` + etag} {
+		if code, _, body := postJSON(t, site.ts.URL+"/query", req, map[string]string{"If-None-Match": inm}); code != http.StatusNotModified {
+			t.Fatalf("conditional refetch with If-None-Match %s = %d, want 304: %s", inm, code, body)
+		}
+	}
 	// A stale validator must not short-circuit.
 	code3, _, body3 := postJSON(t, site.ts.URL+"/query", req, map[string]string{"If-None-Match": `"qg999-0-0-5"`})
 	if code3 != http.StatusOK {

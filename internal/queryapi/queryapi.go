@@ -14,11 +14,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"strings"
 	"sync"
 	"time"
 
+	"strudel/internal/httpx"
 	"strudel/internal/obs"
 	"strudel/internal/struql"
 )
@@ -112,11 +114,11 @@ type result struct {
 	used int64    // LRU tick
 }
 
-// Service is the query API: handlers, limits, the inflight gate, and a
-// small per-generation result cache. The cache is what lets a cursor
-// walk complete on its original generation across a hot reload — and
-// why eviction degrades to a typed generation_mismatch, never a torn
-// mix of generations.
+// Service is the query API: handlers, limits, and a small
+// per-generation result cache. The cache is what lets a cursor walk
+// complete on its original generation across a hot reload — and why
+// eviction degrades to a typed generation_mismatch, never a torn mix of
+// generations.
 type Service struct {
 	Backend Backend
 	Limits  Limits
@@ -127,16 +129,17 @@ type Service struct {
 	MaxInflight int
 
 	lim   Limits
-	gate  chan struct{}
 	mu    sync.Mutex
 	cache map[string]*result
 	memo  map[string]string // introspection payloads, keyed per generation
 	tick  int64
 }
 
-// Handler returns the query API's HTTP handler: recovery(shed(mux)).
-// Mount it at the server root; it owns /query, /query/explain, and
-// /schema/*.
+// Handler returns the query API's HTTP handler behind the shared front
+// door: Recover → Metrics → Shed → mux. Every request is counted, shed
+// ones included, and a shed request is refused before any body is read
+// — overload protection must be cheaper than the work it refuses. Mount
+// it at the server root; it owns /query, /query/explain, and /schema/*.
 func (s *Service) Handler() http.Handler {
 	s.lim = s.Limits.withDefaults()
 	if s.Obs == nil {
@@ -150,53 +153,25 @@ func (s *Service) Handler() http.Handler {
 	if n == 0 {
 		n = 64
 	}
-	if n > 0 {
-		s.gate = make(chan struct{}, n)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/query/explain", s.handleExplain)
 	mux.HandleFunc("/schema/labels", s.handleLabels)
 	mux.HandleFunc("/schema/collections", s.handleCollections)
 	mux.HandleFunc("/schema/dataguide", s.handleDataguide)
-	return s.recover(s.shed(mux))
-}
-
-// shed admits at most MaxInflight requests; the rest are refused with a
-// typed 503 before any body is read — overload protection must be
-// cheaper than the work it refuses.
-func (s *Service) shed(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.Obs.Requests.Inc()
-		if s.gate != nil {
-			select {
-			case s.gate <- struct{}{}:
-				defer func() { <-s.gate }()
-			default:
-				s.Obs.Shed.Inc()
-				writeError(w, &Error{Code: CodeOverloaded, RetryAfter: 1,
-					Message: "query API at max inflight requests"})
-				return
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// recover converts a handler panic into a structured 500. The fuzz
-// harness asserts this path never fires for arbitrary input — it is
-// the backstop, not the error path.
-func (s *Service) recover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.Obs.Panics.Inc()
-				writeError(w, &Error{Code: CodeInternal,
-					Message: fmt.Sprintf("panic: %v", p)})
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
+	// The recovered-panic refusal is the backstop, not the error path:
+	// the fuzz harness asserts it never fires for arbitrary input.
+	return httpx.Chain(mux,
+		httpx.Recover(log.Printf, func(w http.ResponseWriter, r *http.Request) {
+			s.Obs.Panics.Inc()
+			writeError(w, &Error{Code: CodeInternal, Message: "internal error"})
+		}),
+		httpx.Metrics(&s.Obs.Requests, nil),
+		httpx.Shed(n, func(w http.ResponseWriter, r *http.Request) {
+			s.Obs.Shed.Inc()
+			writeError(w, &Error{Code: CodeOverloaded, RetryAfter: httpx.RetryAfter(0),
+				Message: "query API at max inflight requests"})
+		}))
 }
 
 // readRequest decodes and bounds the request envelope.
@@ -318,7 +293,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		checkGen = s.Backend.Generation()
 	}
 	etag := pageETag(checkGen, qh, offset, pageSize)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagIn(inm, etag) {
+	if inm := r.Header.Get("If-None-Match"); inm != "" && httpx.ETagMatch(inm, etag) {
 		s.Obs.NotModified.Inc()
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -462,20 +437,6 @@ func (s *Service) store(key string, res *result) {
 // like the page edge's ETags, plus the query/page coordinates.
 func pageETag(gen int64, qh uint64, offset, pageSize int) string {
 	return fmt.Sprintf("\"qg%d-%016x-%d-%d\"", gen, qh, offset, pageSize)
-}
-
-// etagIn reports whether the validator appears in an If-None-Match
-// header (comma-separated list or *).
-func etagIn(header, etag string) bool {
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		if strings.TrimSpace(part) == etag {
-			return true
-		}
-	}
-	return false
 }
 
 func min(a, b int) int {

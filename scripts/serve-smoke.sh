@@ -142,14 +142,27 @@ for key in '"ivm"' '"deltas_applied"' '"bailout_delta_too_large"' '"dirty_pages"
     }
 done
 # The sharded serving tier exports its own metric group: edge cache
-# counters and the fleet generation (bumped by the reload above).
-for key in '"fleet"' '"edge_requests"' '"not_modified"' '"generation"' '"swaps"'; do
+# counters, the fleet generation (bumped by the reload above), and the
+# front door's refusal counters.
+for key in '"fleet"' '"edge_requests"' '"not_modified"' '"generation"' '"swaps"' \
+    '"edge_nanos"' '"shed"' '"timeouts"' '"panics"'; do
     grep -q "$key" "$workdir/vars.json" || {
         echo "serve-smoke: /debug/vars missing fleet metric $key:" >&2
         cat "$workdir/vars.json" >&2
         exit 1
     }
 done
+# The queryapi group has its own "shed" and "panics", so also check that
+# the front-door counters sit in the fleet group itself.
+python3 - "$workdir/vars.json" <<'EOF' || {
+import json, sys
+fleet = json.load(open(sys.argv[1]))["strudel"]["fleet"]
+sys.exit(any(k not in fleet for k in ("edge_nanos", "shed", "timeouts", "panics")))
+EOF
+    echo "serve-smoke: fleet group missing a front-door counter:" >&2
+    cat "$workdir/vars.json" >&2
+    exit 1
+}
 # The live health grid: one state entry per replica of the 2x2 fleet.
 for key in '"fleet_health"' '"shard0_replica0"' '"shard1_replica1"'; do
     grep -q "$key" "$workdir/vars.json" || {
